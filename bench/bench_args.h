@@ -16,13 +16,21 @@
 namespace p2prange {
 namespace bench {
 
+/// True when `--smoke` is anywhere in argv.
+inline bool SmokeFromArgs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) return true;
+  }
+  return false;
+}
+
 /// Scale from argv: `--smoke` anywhere wins and selects `smoke`;
 /// otherwise the first parsable positive number overrides `full`.
 inline double ScaleFromArgs(int argc, char** argv, double full, double smoke) {
+  if (SmokeFromArgs(argc, argv)) return smoke;
   double scale = full;
   bool overridden = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return smoke;
     if (!overridden) {
       const double v = std::strtod(argv[i], nullptr);
       if (v > 0) {

@@ -6,6 +6,7 @@
 // recall, traffic, and (for the crash wave) the recovery clock —
 // plus one million-peer cell proving the engine's memory-compact
 // layout holds at 10^6 peers (bytes/peer is measured, not estimated).
+// Under --smoke that headline cell shrinks to 10^5 peers.
 //
 // Output is a single JSON document on stdout (the checked-in
 // BENCH_scenario_matrix.json); progress goes to stderr. The
@@ -125,11 +126,14 @@ void Run(size_t grid_peers, size_t grid_queries, size_t million_peers,
 }  // namespace p2prange
 
 int main(int argc, char** argv) {
-  // Smoke: the satellite gate's 10^4-peer grid plus the 10^6-peer
-  // headline cell; full mode widens the grid tenfold.
+  // Smoke: the satellite gate's 10^4-peer grid plus a 10^5-peer
+  // headline cell; full mode widens the grid tenfold and runs the
+  // headline cell at 10^6 peers.
   const size_t grid_peers =
       p2prange::bench::CountFromArgs(argc, argv, 100000, 10000);
   const size_t grid_queries = grid_peers == 100000 ? 20000 : 3000;
-  p2prange::bench::Run(grid_peers, grid_queries, 1000000, 100000);
+  const bool smoke = p2prange::bench::SmokeFromArgs(argc, argv);
+  p2prange::bench::Run(grid_peers, grid_queries, smoke ? 100000 : 1000000,
+                       smoke ? 10000 : 100000);
   return 0;
 }

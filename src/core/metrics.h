@@ -11,7 +11,7 @@ namespace p2prange {
 struct SystemMetrics {
   uint64_t range_lookups = 0;   ///< §4 protocol invocations
   uint64_t exact_hits = 0;      ///< best reply was the identical range
-  uint64_t approx_hits = 0;     ///< best reply overlapped but was not exact
+  uint64_t approx_hits = 0;     ///< best reply was another range (even disjoint)
   uint64_t misses = 0;          ///< no same-column descriptor found
 
   uint64_t partitions_published = 0;  ///< distinct (range, l-ids) publishes

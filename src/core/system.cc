@@ -222,10 +222,7 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
   // match among the groups that did answer.
   OpBudget budget;
   std::vector<MatchCandidate> candidates;
-  std::set<std::string> candidates_seen;
-  std::set<NetAddress> owners_seen;
   std::vector<PartitionDescriptor> coverage_candidates;
-  std::set<std::string> coverage_seen;
 
   // Probes one replica's bucket; commits its candidate and coverage
   // contributions only once the reply reaches the origin.
@@ -247,16 +244,16 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
       metrics_.stale_evictions += owner_peer->EraseStaleDescriptors(
           candidate->descriptor.key, candidate->descriptor.holder);
     }
-    std::vector<MatchCandidate> overlapping;
+    std::vector<PartitionDescriptor> overlapping;
     if (config_.assemble_coverage) {
-      for (MatchCandidate& c : owner_peer->store().OverlappingCandidates(
-               id, effective_key, config_.criterion)) {
-        if (!overlay_->IsAlive(c.descriptor.holder)) {
-          metrics_.stale_evictions += owner_peer->EraseStaleDescriptors(
-              c.descriptor.key, c.descriptor.holder);
+      for (PartitionDescriptor& d :
+           owner_peer->store().OverlappingCandidates(id, effective_key)) {
+        if (!overlay_->IsAlive(d.holder)) {
+          metrics_.stale_evictions +=
+              owner_peer->EraseStaleDescriptors(d.key, d.holder);
           continue;
         }
-        overlapping.push_back(std::move(c));
+        overlapping.push_back(std::move(d));
       }
     }
     // The reply must actually arrive for the origin to learn anything.
@@ -264,23 +261,13 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
     if (!reply.ok()) return false;
     out.latency_ms += *reply;
     metrics_.latency_ms += *reply;
-    if (owners_seen.insert(target).second) {
-      ++out.peers_contacted;
+    if (std::find(out.probed_owners.begin(), out.probed_owners.end(),
+                  target) == out.probed_owners.end()) {
       out.probed_owners.push_back(target);
     }
-    if (candidate) {
-      const std::string key = candidate->descriptor.key.ToString() + "@" +
-                              candidate->descriptor.holder.ToString();
-      if (candidates_seen.insert(key).second) {
-        candidates.push_back(std::move(*candidate));
-      }
-    }
-    for (MatchCandidate& c : overlapping) {
-      if (coverage_seen.insert(c.descriptor.key.ToString() + "@" +
-                               c.descriptor.holder.ToString())
-              .second) {
-        coverage_candidates.push_back(std::move(c.descriptor));
-      }
+    if (candidate) AddCandidate(std::move(*candidate), &candidates);
+    for (PartitionDescriptor& d : overlapping) {
+      AddCandidate(std::move(d), &coverage_candidates);
     }
     return true;
   };
@@ -289,19 +276,16 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
     if (BudgetExhausted(&budget)) {
       // Out of time: the remaining probes are abandoned.
       out.probes_failed += static_cast<int>(out.identifiers.size() - g);
-      metrics_.probes_failed += out.identifiers.size() - g;
       break;
     }
     auto route = overlay_->RouteToOwner(origin, out.identifiers[g]);
     if (!route.ok()) {
       // Routing never reached this identifier's owner.
       ++out.probes_failed;
-      ++metrics_.probes_failed;
       continue;
     }
     out.hops += route->hops;
     out.latency_ms += route->latency_ms;
-    metrics_.chord_hops += route->hops;
     metrics_.latency_ms += route->latency_ms;
     budget.spent_ms += route->latency_ms;
 
@@ -329,47 +313,29 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
         out.latency_ms += *fwd;
         metrics_.latency_ms += *fwd;
         ++out.hops;
-        ++metrics_.chord_hops;
         if (probe_replica(succ.addr, out.identifiers[g])) {
           ++out.failovers;
-          ++metrics_.probe_failovers;
           answered = true;
           break;
         }
       }
     }
-    if (!answered) {
-      ++out.probes_failed;
-      ++metrics_.probes_failed;
-    }
+    if (!answered) ++out.probes_failed;
   }
+  metrics_.probes_failed += out.probes_failed;
+  metrics_.probe_failovers += out.failovers;
+  metrics_.chord_hops += out.hops;
 
+  out.peers_contacted = static_cast<int>(out.probed_owners.size());
   out.degraded = out.probes_failed > 0 || budget.exhausted;
   if (out.degraded) ++metrics_.degraded_lookups;
 
-  // Rank the collected candidates best-first: higher similarity wins,
-  // exactness breaks ties (matches the single-best rule the protocol
-  // used before it kept a ranked list).
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const MatchCandidate& a, const MatchCandidate& b) {
-                     if (a.similarity != b.similarity) {
-                       return a.similarity > b.similarity;
-                     }
-                     return a.exact && !b.exact;
-                   });
-  const std::optional<MatchCandidate> best =
-      candidates.empty() ? std::nullopt
-                         : std::optional<MatchCandidate>(candidates.front());
-  out.ranked.reserve(candidates.size());
+  RankCandidates(&candidates);
   for (const MatchCandidate& c : candidates) {
-    RangeMatch m;
-    m.matched = c.descriptor.key;
-    m.holder = c.descriptor.holder;
-    m.score = c.similarity;
-    m.jaccard = query.range.Jaccard(c.descriptor.key.range);
-    m.recall = query.range.RecallFrom(c.descriptor.key.range);
-    m.exact = c.descriptor.key.range == out.effective_query;
-    out.ranked.push_back(std::move(m));
+    const Range& r = c.descriptor.key.range;
+    out.ranked.push_back(RangeMatch{c.descriptor.key, c.descriptor.holder,
+                                    c.similarity, query.range.Jaccard(r),
+                                    query.range.RecallFrom(r), c.exact});
   }
 
   if (config_.assemble_coverage && !coverage_candidates.empty()) {
@@ -380,27 +346,19 @@ Result<RangeLookupOutcome> RangeCacheSystem::LookupRangeFrom(
     out.coverage_recall = cover.covered_fraction;
   }
 
+  if (!out.ranked.empty()) out.match = out.ranked.front();
   if (config_.adaptive_padding) {
-    padding_controller_.Observe(
-        query.relation + "." + query.attribute,
-        best ? query.range.RecallFrom(best->descriptor.key.range) : 0.0);
+    padding_controller_.Observe(query.relation + "." + query.attribute,
+                                out.match ? out.match->recall : 0.0);
   }
 
-  if (!out.ranked.empty()) {
-    out.match = out.ranked.front();
-    if (out.match->exact) {
-      ++metrics_.exact_hits;
-    } else {
-      ++metrics_.approx_hits;
-    }
-  } else {
-    ++metrics_.misses;
-  }
+  const MatchKind kind = CountMatch(out.match.has_value(),
+                                    out.match && out.match->exact, &metrics_);
 
-  // Cache-on-miss (§4): if no exact match exists, the computed
-  // partition (the effective range, held by the origin) is stored at
-  // the peers owning the l identifiers.
-  if (config_.cache_on_miss && (!out.match || !out.match->exact)) {
+  // Cache-on-miss (§4): the computed partition (the effective range,
+  // held by the origin) is stored at the peers owning the l
+  // identifiers the lookup already hashed.
+  if (config_.cache_on_miss && PublishesOnMiss(kind)) {
     const PartitionDescriptor descriptor{effective_key, origin};
     ++metrics_.partitions_published;
     for (size_t g = 0; g < out.identifiers.size(); ++g) {
@@ -484,6 +442,40 @@ std::string EqKeyString(const std::string& relation, const std::string& attribut
 }
 }  // namespace
 
+const Relation* RangeCacheSystem::FetchExact(const NetAddress& client,
+                                             chord::ChordId id,
+                                             const std::string& key,
+                                             overlay::PeerInfo* owner,
+                                             uint64_t* fallbacks) {
+  // A failed route (or an owner that crashed mid-query) skips the
+  // cache probe; the source still answers.
+  auto route = overlay_->RouteToOwner(client, id);
+  if (!route.ok()) return nullptr;
+  metrics_.chord_hops += route->hops;
+  metrics_.latency_ms += route->latency_ms;
+  *owner = route->owner;
+  Peer* owner_peer = overlay_->IsAlive(owner->addr) ? peer(owner->addr) : nullptr;
+  const std::optional<EqDescriptor> desc =
+      owner_peer == nullptr ? std::nullopt : owner_peer->FindEqDescriptor(id, key);
+  if (!desc) return nullptr;
+  const Relation* data = nullptr;
+  if (!overlay_->IsAlive(desc->holder)) {
+    // Stale: the holder died with its data. Repair the owner's bucket
+    // so later queries go straight to the source.
+    if (owner_peer->EraseEqDescriptor(id, key, desc->holder)) {
+      ++metrics_.stale_evictions;
+    }
+  } else if (const Peer* holder_peer = peer(desc->holder)) {
+    data = holder_peer->GetEqData(key);
+    if (data != nullptr &&
+        !TransferData(client, desc->holder, *data, /*from_source=*/false).ok()) {
+      data = nullptr;
+    }
+  }
+  if (data == nullptr && fallbacks != nullptr) ++*fallbacks;
+  return data;
+}
+
 Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
                                     const TableSelection& leaf,
                                     std::map<std::string, Relation>* inputs,
@@ -497,12 +489,8 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     // multi-attribute extension). A partition that fully covers *its*
     // attribute's selection yields the complete leaf answer once the
     // remaining predicates are applied locally by the executor.
-    struct Candidate {
-      RangeLookupOutcome lookup;
-      PartitionKey key;
-    };
-    std::optional<Candidate> best;
-    std::optional<Candidate> best_cover;  // by assembled coverage
+    std::optional<RangeLookupOutcome> best;
+    std::optional<RangeLookupOutcome> best_cover;  // by assembled coverage
     std::optional<RangeLookupOutcome> primary_lookup;
     PartitionKey primary_key;
     for (const RangeSelection& sel : ranges) {
@@ -522,16 +510,13 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
       ASSIGN_OR_RETURN(RangeLookupOutcome lookup, LookupRangeFrom(client, key));
       const double recall = lookup.match ? lookup.match->recall : 0.0;
       if (config_.stats_planning) column_stats_.Observe(column_key, recall);
-      const double best_recall =
-          best && best->lookup.match ? best->lookup.match->recall : -1.0;
+      const double best_recall = best && best->match ? best->match->recall : -1.0;
       if (!primary_lookup) primary_lookup = lookup;
       if (config_.assemble_coverage && lookup.coverage_recall > 0.0 &&
-          (!best_cover || lookup.coverage_recall > best_cover->lookup.coverage_recall)) {
-        best_cover = Candidate{lookup, key};
+          (!best_cover || lookup.coverage_recall > best_cover->coverage_recall)) {
+        best_cover = lookup;
       }
-      if (recall > best_recall) {
-        best = Candidate{std::move(lookup), key};
-      }
+      if (recall > best_recall) best = std::move(lookup);
     }
 
     // Walk the ranked matches until one is actually fetchable. A match
@@ -540,8 +525,8 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     // next-best match takes over; if every match fails, the source
     // answers (a fault can degrade a query, never fail it).
     bool cache_match_failed = false;
-    if (best && best->lookup.match) {
-      for (const RangeMatch& m : best->lookup.ranked) {
+    if (best && best->match) {
+      for (const RangeMatch& m : best->ranked) {
         // The best *surviving* match decides, exactly as the single-
         // match rule did: if it does not qualify for a cache answer,
         // the leaf goes to the source rather than to a worse match.
@@ -551,7 +536,7 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
         if (step_hook_) step_hook_("fetch");
         if (!overlay_->IsAlive(m.holder)) {
           // Dead at fetch time: repair the probing owners' buckets.
-          for (const NetAddress& owner : best->lookup.probed_owners) {
+          for (const NetAddress& owner : best->probed_owners) {
             Peer* owner_peer = peer(owner);
             if (owner_peer == nullptr) continue;
             metrics_.stale_evictions +=
@@ -579,29 +564,28 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
         inputs->emplace(leaf.table, *data);
         outcome->used_cache = true;
         outcome->recall = m.recall;
-        outcome->lookup = std::move(best->lookup);
+        outcome->lookup = std::move(*best);
         return Status::OK();
       }
     }
 
     // Multi-partition coverage: several overlapping partitions may
     // jointly cover the selection even though no single one does.
-    if (best_cover &&
-        best_cover->lookup.coverage_recall >
-            (best && best->lookup.match ? best->lookup.match->recall : 0.0)) {
-      const double covered = best_cover->lookup.coverage_recall;
+    if (best_cover && best_cover->coverage_recall >
+                          (best && best->match ? best->match->recall : 0.0)) {
+      const double covered = best_cover->coverage_recall;
       const bool cover_full = covered >= 1.0 - 1e-12;
       if (cover_full || (config_.accept_partial_answers && covered > 0.0)) {
         ASSIGN_OR_RETURN(
             const std::optional<Relation> merged,
-            FetchCoverage(client, best_cover->lookup.coverage_pieces));
+            FetchCoverage(client, best_cover->coverage_pieces));
         if (merged.has_value()) {
           ++metrics_.cache_fetches;
           ++metrics_.coverage_assemblies;
           inputs->emplace(leaf.table, *merged);
           outcome->used_cache = true;
           outcome->recall = covered;
-          outcome->lookup = std::move(best_cover->lookup);
+          outcome->lookup = std::move(*best_cover);
           return Status::OK();
         }
         cache_match_failed = true;  // assembly broke (dead/empty holder)
@@ -656,42 +640,15 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     const std::string eq_key = EqKeyString(leaf.table, f.attribute, f.value);
     const chord::ChordId id = Sha1::Hash32(eq_key);
     ++metrics_.eq_lookups;
-    // A failed route (or an owner that crashed mid-query) skips the
-    // cache probe; the source still answers.
-    Peer* owner_peer = nullptr;
-    auto route = overlay_->RouteToOwner(client, id);
-    if (route.ok()) {
-      metrics_.chord_hops += route->hops;
-      metrics_.latency_ms += route->latency_ms;
-      if (overlay_->IsAlive(route->owner.addr)) {
-        owner_peer = peer(route->owner.addr);
-      }
-    }
-    std::optional<EqDescriptor> desc =
-        owner_peer == nullptr ? std::nullopt
-                              : owner_peer->FindEqDescriptor(id, eq_key);
-    if (desc && !overlay_->IsAlive(desc->holder)) {
-      // Stale: the holder died with its data. Repair the owner's
-      // bucket so later queries go straight to the source.
-      if (owner_peer->EraseEqDescriptor(id, eq_key, desc->holder)) {
-        ++metrics_.stale_evictions;
-      }
-      ++metrics_.source_fallbacks;
-      desc.reset();
-    }
-    if (desc) {
-      const Peer* holder_peer = peer(desc->holder);
-      const Relation* data =
-          holder_peer == nullptr ? nullptr : holder_peer->GetEqData(eq_key);
-      if (data != nullptr &&
-          TransferData(client, desc->holder, *data, /*from_source=*/false).ok()) {
-        ++metrics_.eq_hits;
-        ++metrics_.cache_fetches;
-        inputs->emplace(leaf.table, *data);
-        outcome->used_cache = true;
-        return Status::OK();
-      }
-      ++metrics_.source_fallbacks;
+    overlay::PeerInfo owner{};
+    const Relation* data = FetchExact(client, id, eq_key, &owner,
+                                      &metrics_.source_fallbacks);
+    if (data != nullptr) {
+      ++metrics_.eq_hits;
+      ++metrics_.cache_fetches;
+      inputs->emplace(leaf.table, *data);
+      outcome->used_cache = true;
+      return Status::OK();
     }
     // Source fetch; publish and materialize at the client.
     ASSIGN_OR_RETURN(const Relation* base, catalog_.GetBaseData(leaf.table));
@@ -700,6 +657,7 @@ Status RangeCacheSystem::AnswerLeaf(const NetAddress& client,
     RETURN_NOT_OK(TransferData(client, source_, rows, /*from_source=*/true));
     if (config_.cache_on_miss) {
       peer(client)->StoreEqData(eq_key, rows);
+      Peer* owner_peer = overlay_->IsAlive(owner.addr) ? peer(owner.addr) : nullptr;
       if (owner_peer != nullptr) {
         owner_peer->StoreEqDescriptor(id, EqDescriptor{eq_key, client});
       }
@@ -748,40 +706,16 @@ Result<QueryOutcome> RangeCacheSystem::ExecuteQueryFrom(const NetAddress& client
   overlay::PeerInfo result_owner{};
   if (config_.cache_query_results) {
     ++metrics_.result_cache_lookups;
-    // A failed route or crashed owner just skips the result cache.
-    auto route = overlay_->RouteToOwner(client, result_id);
-    Peer* owner_peer = nullptr;
-    if (route.ok()) {
-      metrics_.chord_hops += route->hops;
-      metrics_.latency_ms += route->latency_ms;
-      result_owner = route->owner;
-      if (overlay_->IsAlive(route->owner.addr)) {
-        owner_peer = peer(route->owner.addr);
-      }
-    }
-    std::optional<EqDescriptor> desc =
-        owner_peer == nullptr ? std::nullopt
-                              : owner_peer->FindEqDescriptor(result_id, result_key);
-    if (desc && !overlay_->IsAlive(desc->holder)) {
-      if (owner_peer->EraseEqDescriptor(result_id, result_key, desc->holder)) {
-        ++metrics_.stale_evictions;
-      }
-      desc.reset();
-    }
-    if (desc) {
-      const Peer* holder_peer = peer(desc->holder);
-      const Relation* cached =
-          holder_peer == nullptr ? nullptr : holder_peer->GetEqData(result_key);
-      if (cached != nullptr &&
-          TransferData(client, desc->holder, *cached, /*from_source=*/false).ok()) {
-        ++metrics_.result_cache_hits;
-        QueryOutcome outcome;
-        outcome.result = *cached;
-        outcome.from_result_cache = true;
-        outcome.total_hops = static_cast<int>(metrics_.chord_hops - hops_before);
-        outcome.total_latency_ms = metrics_.latency_ms - latency_before;
-        return outcome;
-      }
+    const Relation* cached =
+        FetchExact(client, result_id, result_key, &result_owner, nullptr);
+    if (cached != nullptr) {
+      ++metrics_.result_cache_hits;
+      QueryOutcome outcome;
+      outcome.result = *cached;
+      outcome.from_result_cache = true;
+      outcome.total_hops = static_cast<int>(metrics_.chord_hops - hops_before);
+      outcome.total_latency_ms = metrics_.latency_ms - latency_before;
+      return outcome;
     }
   }
 
@@ -799,9 +733,8 @@ Result<QueryOutcome> RangeCacheSystem::ExecuteQueryFrom(const NetAddress& client
   // querying peer for future exact re-asks.
   if (config_.cache_query_results && !outcome.approximate) {
     peer(client)->StoreEqData(result_key, outcome.result);
-    Peer* owner_peer = overlay_->IsAlive(result_owner.addr)
-                           ? peer(result_owner.addr)
-                           : nullptr;
+    Peer* owner_peer =
+        overlay_->IsAlive(result_owner.addr) ? peer(result_owner.addr) : nullptr;
     if (owner_peer != nullptr) {
       owner_peer->StoreEqDescriptor(result_id, EqDescriptor{result_key, client});
     }

@@ -255,6 +255,14 @@ class RangeCacheSystem {
   Status AnswerLeaf(const NetAddress& client, const TableSelection& leaf,
                     std::map<std::string, Relation>* inputs, LeafOutcome* outcome);
 
+  /// The §3.1 exact-match probe: fetches what `id`'s owner maps `key`
+  /// to (nullptr on a miss), evicting a dead holder's descriptor.
+  /// `*owner` gets the routed owner; a descriptor found but not served
+  /// counts in `*fallbacks` (optional).
+  const Relation* FetchExact(const NetAddress& client, chord::ChordId id,
+                             const std::string& key, overlay::PeerInfo* owner,
+                             uint64_t* fallbacks);
+
   /// Ships `payload` from `server` to `client`, charging its wire
   /// size; attributes the bytes to source or cache traffic.
   Status TransferData(const NetAddress& client, const NetAddress& server,

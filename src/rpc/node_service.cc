@@ -294,8 +294,8 @@ Result<std::string> NodeService::Handle(MsgType type, std::string_view body) {
     case MsgType::kFetchPartition:
       return HandleFetchPartition(body);
     case MsgType::kMetrics:
-      // The daemon wraps Handle() to merge transport stats in; served
-      // bare, the node's own counters still tell most of the story.
+      // p2prange_node answers kMetrics itself with its full JSON;
+      // served bare, the node's own counters tell most of the story.
       return MetricsJson(NetworkStats{}, RpcStats{});
     case MsgType::kJoin:
     case MsgType::kLeave:

@@ -231,144 +231,119 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
   // primary owner before any response is awaited. Probes sharing an
   // owner coalesce into one kMultiOp frame (batch_probes); a batch of
   // one stays a plain kProbeBucket.
-  struct Probe {
-    NetAddress owner;
-    std::string body;
-    uint64_t call_id = 0;
-    bool started = false;
-    size_t batch = SIZE_MAX;  ///< index into batches, SIZE_MAX = solo
-    size_t slot = 0;          ///< this probe's position in the batch
-  };
   struct Batch {
     NetAddress owner;
     std::vector<size_t> groups;  ///< probe indices, in op order
     uint64_t call_id = 0;
-    bool started = false;
-    bool waited = false;
-    /// Filled at wait time when the whole batch round trip succeeded.
-    std::optional<MultiOpResponse> response;
+    bool pending = false;  ///< started, not yet waited for
+    /// Per group, filled at wait time: its probe reply; nullopt while
+    /// unsent, or when the round trip or the group's slot failed.
+    std::vector<std::optional<std::string>> replies;
   };
-  std::vector<Probe> probes(l);
+  std::vector<std::string> bodies(l);
+  std::vector<size_t> batch_of(l);  ///< group -> index into batches
+  std::vector<size_t> slot_of(l);   ///< group -> position in its batch
   std::vector<Batch> batches;
+  std::map<NetAddress, size_t> batch_at_owner;
   for (size_t g = 0; g < l; ++g) {
     req.bucket = out.identifiers[g];
-    probes[g].owner = view_.Owner(out.identifiers[g]);
-    probes[g].body = EncodeProbeBucketRequest(req);
-  }
-  if (options_.batch_probes) {
-    std::map<NetAddress, size_t> batch_of;
-    for (size_t g = 0; g < l; ++g) {
-      auto [it, fresh] = batch_of.try_emplace(probes[g].owner, batches.size());
-      if (fresh) {
-        batches.push_back(Batch{});
-        batches.back().owner = probes[g].owner;
-      }
-      batches[it->second].groups.push_back(g);
+    bodies[g] = EncodeProbeBucketRequest(req);
+    const NetAddress& owner = view_.Owner(out.identifiers[g]);
+    size_t b = batches.size();
+    if (options_.batch_probes) {
+      b = batch_at_owner.try_emplace(owner, b).first->second;
     }
+    if (b == batches.size()) {
+      batches.emplace_back();
+      batches.back().owner = owner;
+    }
+    batch_of[g] = b;
+    slot_of[g] = batches[b].groups.size();
+    batches[b].groups.push_back(g);
+    batches[b].replies.emplace_back();
   }
   for (Batch& batch : batches) {
-    if (batch.groups.size() < 2) continue;  // solo probes ship plain
+    const bool multi = batch.groups.size() > 1;
     MultiOpRequest mreq;
-    for (size_t i = 0; i < batch.groups.size(); ++i) {
-      const size_t g = batch.groups[i];
-      mreq.ops.push_back(MultiOp{MsgType::kProbeBucket, probes[g].body});
-      probes[g].batch = static_cast<size_t>(&batch - batches.data());
-      probes[g].slot = i;
+    for (size_t i = 0; multi && i < batch.groups.size(); ++i) {
+      mreq.ops.push_back(
+          MultiOp{MsgType::kProbeBucket, bodies[batch.groups[i]]});
     }
-    auto started = transport_.StartCall(batch.owner, MsgType::kMultiOp,
-                                        EncodeMultiOpRequest(mreq));
+    auto started = transport_.StartCall(
+        batch.owner, multi ? MsgType::kMultiOp : MsgType::kProbeBucket,
+        multi ? EncodeMultiOpRequest(mreq) : bodies[batch.groups.front()]);
     if (started.ok()) {
       batch.call_id = *started;
-      batch.started = true;
-      out.batched_probes += static_cast<int>(batch.groups.size());
-    }
-  }
-  for (size_t g = 0; g < l; ++g) {
-    if (probes[g].batch != SIZE_MAX) continue;
-    auto started = transport_.StartCall(probes[g].owner, MsgType::kProbeBucket,
-                                        probes[g].body);
-    if (started.ok()) {
-      probes[g].call_id = *started;
-      probes[g].started = true;
+      batch.pending = true;
+      if (multi) out.batched_probes += static_cast<int>(batch.groups.size());
     }
   }
 
   std::vector<MatchCandidate> candidates;
-  std::set<std::string> candidates_seen;
   bool refreshed = false;  // at most one view refresh per lookup
 
-  auto collect = [&](const std::string& body) -> Status {
-    ASSIGN_OR_RETURN(std::optional<MatchCandidate> candidate,
-                     DecodeProbeBucketResponse(body));
-    if (!candidate.has_value()) return Status::OK();
-    const std::string key = candidate->descriptor.key.ToString() + "@" +
-                            candidate->descriptor.holder.ToString();
-    if (candidates_seen.insert(key).second) {
-      candidates.push_back(std::move(*candidate));
+  // A reply that decodes answers its probe, candidate or not.
+  auto collect = [&](const std::string& body) {
+    auto candidate = DecodeProbeBucketResponse(body);
+    if (candidate.ok() && candidate->has_value()) {
+      AddCandidate(std::move(**candidate), &candidates);
     }
-    return Status::OK();
+    return candidate.ok();
   };
 
   for (size_t g = 0; g < l; ++g) {
-    Probe& probe = probes[g];
-    bool answered = false;
+    const std::string& body = bodies[g];
     const auto probe_started = std::chrono::steady_clock::now();
 
-    if (probe.batch != SIZE_MAX) {
-      Batch& batch = batches[probe.batch];
-      if (batch.started && !batch.waited) {
-        // First probe of the batch to be collected pays the wait; its
-        // siblings read their slots from the decoded response.
-        batch.waited = true;
-        auto waited = transport_.WaitCall(batch.owner, batch.call_id,
-                                          options_.deadline_ms);
-        if (waited.ok()) {
-          auto decoded = DecodeMultiOpResponse(waited->body);
-          if (decoded.ok() && decoded->results.size() == batch.groups.size()) {
-            batch.response = std::move(*decoded);
+    Batch& batch = batches[batch_of[g]];
+    if (batch.pending) {
+      // First probe of the batch to be collected pays the wait; its
+      // siblings read their slots from the decoded response.
+      batch.pending = false;
+      auto waited =
+          transport_.WaitCall(batch.owner, batch.call_id, options_.deadline_ms);
+      if (waited.ok() && batch.groups.size() == 1) {
+        batch.replies[0] = std::move(waited->body);
+      } else if (waited.ok()) {
+        auto decoded = DecodeMultiOpResponse(waited->body);
+        if (decoded.ok() && decoded->results.size() == batch.groups.size()) {
+          for (size_t i = 0; i < batch.groups.size(); ++i) {
+            MultiOpResult& slot = decoded->results[i];
+            if (slot.status == StatusCode::kOk) batch.replies[i] = std::move(slot.body);
           }
         }
       }
-      if (batch.response.has_value()) {
-        const MultiOpResult& slot = batch.response->results[probe.slot];
-        if (slot.status == StatusCode::kOk) {
-          answered = collect(slot.body).ok();
-        }
-        // A non-OK slot (redirect, shed, decode error) falls through
-        // to the per-replica path below, which knows how to follow
-        // redirects and fail over.
-      }
-    } else if (probe.started) {
-      auto waited = transport_.WaitCall(probe.owner, probe.call_id,
-                                        options_.deadline_ms);
-      if (waited.ok()) {
-        answered = collect(waited->body).ok();
-      }
     }
+    // A failed round trip or a non-OK slot (redirect, shed, decode
+    // error) falls through to the per-replica path below, which knows
+    // how to follow redirects and fail over.
+    const std::optional<std::string>& reply = batch.replies[slot_of[g]];
+    bool answered = reply.has_value() && collect(*reply);
 
     // Retry the owner under the fault policy, then fail over to the
     // bucket's replicas — the live analogue of the simulator's
     // owner-then-successors probe sequence. A wrong-owner redirect
     // from any replica is followed (and its member learned) at once.
-    auto probe_replicas = [&](bool* answered_out) {
+    auto probe_replicas = [&]() {
       const auto replicas = view_.Replicas(out.identifiers[g],
                                            options_.descriptor_replication);
-      for (size_t r = 0; r < replicas.size() && !*answered_out; ++r) {
+      for (size_t r = 0; r < replicas.size(); ++r) {
         auto result =
-            CallWithPolicy(replicas[r], MsgType::kProbeBucket, probe.body);
+            CallWithPolicy(replicas[r], MsgType::kProbeBucket, body);
         if (!result.ok() && result.status().IsOutOfRange()) {
           if (const auto owner = ParseWrongOwner(result.status().message())) {
             LearnMember(*owner);
             ++out.redirects;
-            result = CallWithPolicy(*owner, MsgType::kProbeBucket, probe.body);
+            result = CallWithPolicy(*owner, MsgType::kProbeBucket, body);
           }
         }
-        if (!result.ok()) continue;
-        *answered_out = collect(*result).ok();
-        if (*answered_out && r > 0) ++out.failovers;
+        if (!result.ok() || !collect(*result)) continue;
+        if (r > 0) ++out.failovers;
+        return true;
       }
+      return false;
     };
-    if (!answered) probe_replicas(&answered);
+    if (!answered) answered = probe_replicas();
 
     // Every replica of this bucket failed: our view may predate a
     // wave of churn. Refresh it from the ring's gossip (once per
@@ -377,7 +352,7 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
       refreshed = true;
       if (RefreshView().ok()) {
         ++out.view_refreshes;
-        probe_replicas(&answered);
+        answered = probe_replicas();
       }
     }
 
@@ -389,15 +364,7 @@ Result<LiveLookupOutcome> RingClient::Lookup(const PartitionKey& query) {
     out.latency_ms += ElapsedMs(probe_started);
   }
 
-  // Same ranking rule as the simulator: higher similarity first,
-  // exactness breaks ties, stable within.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const MatchCandidate& a, const MatchCandidate& b) {
-                     if (a.similarity != b.similarity) {
-                       return a.similarity > b.similarity;
-                     }
-                     return a.exact && !b.exact;
-                   });
+  RankCandidates(&candidates);
   out.ranked = std::move(candidates);
   return out;
 }

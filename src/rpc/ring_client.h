@@ -1,15 +1,15 @@
 // The caller half of a deployable peer: publishes partitions into a
 // live ring and runs the paper's §4 range lookup against it.
 //
-// Mirrors the simulator's RangeCacheSystem protocol step for step so
-// live answers are comparable to simulated ones: the same LSH scheme
-// maps a range to l identifiers, each identifier's bucket is probed at
-// its owner, per-probe best matches are deduplicated and ranked by
-// (similarity desc, exact tie-break). Probes are pipelined over the
-// call-id multiplexing of TcpTransport — all l requests go out before
-// the first response is awaited — and probes whose buckets share an
-// owner coalesce into a single kMultiOp round trip (small rings put
-// several of the l identifiers on the same peer).
+// Routing and transport are the client's own; the match rules are
+// store/protocol.h's, shared with the simulator, so live answers match
+// simulated ones: the same LSH scheme maps a range to l identifiers,
+// each bucket is probed at its owner, and the replies are deduplicated
+// and ranked. Probes are pipelined over the call-id multiplexing of
+// TcpTransport — all l requests go out before the first response is
+// awaited — and probes whose buckets share an owner coalesce into a
+// single kMultiOp round trip (small rings put several of the l
+// identifiers on the same peer).
 //
 // Fault handling wires the existing FaultPolicy into the real network:
 // an IOError (deadline missed, stream corrupted) is retried with

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "common/logging.h"
+#include "store/protocol.h"
 
 namespace p2prange {
 namespace sim {
@@ -230,11 +232,10 @@ bool ScenarioEngine::CopyValid(const StoredDesc& d, uint32_t at_slot) const {
          d.home_epoch == crash_epoch_[d.home];
 }
 
-void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
-                                  ScenarioReport* report) {
+void ScenarioEngine::PublishRange(const Range& r, const std::vector<uint32_t>& ids,
+                                  uint32_t holder, ScenarioReport* report) {
   ++report->publishes;
-  lsh_->IdentifiersInto(r, &identifier_scratch_);
-  for (const uint32_t id : identifier_scratch_) {
+  for (const uint32_t id : ids) {
     int hops = 0;
     const uint32_t owner = net_->Route(holder, id, &hops);
     report->hops += static_cast<uint64_t>(hops);
@@ -256,16 +257,15 @@ void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
       d.home_epoch = crash_epoch_[target];
       // Refresh an existing copy of the same range instead of letting
       // republishes grow the bucket without bound.
-      bool refreshed = false;
-      for (StoredDesc& existing : bucket) {
-        if (existing.home == target && existing.lo == d.lo &&
-            existing.hi == d.hi) {
-          existing = d;
-          refreshed = true;
-          break;
-        }
+      auto same = std::find_if(
+          bucket.begin(), bucket.end(), [&](const StoredDesc& e) {
+            return e.home == target && e.lo == d.lo && e.hi == d.hi;
+          });
+      if (same != bucket.end()) {
+        *same = d;
+      } else {
+        bucket.push_back(d);
       }
-      if (!refreshed) bucket.push_back(d);
       ++report->descriptors_stored;
       report->messages += 1;
       report->bytes += kControlBytes + kDescriptorBytes;
@@ -273,13 +273,16 @@ void ScenarioEngine::PublishRange(const Range& r, uint32_t holder,
   }
 }
 
-void ScenarioEngine::RunQuery(ScenarioReport* report) {
+double ScenarioEngine::RunQuery(ScenarioReport* report) {
   const Range q = NextQueryRange();
   const uint32_t origin = net_->RandomAliveSlot(rng_);
   lsh_->IdentifiersInto(q, &identifier_scratch_);
 
-  double best_recall = 0.0;
-  bool exact = false;
+  // The §4 rank rule over the packed rows, under Jaccard: a running
+  // winner, so no candidate is ever materialized.
+  std::optional<Range> best;
+  double best_score = 0.0;
+  bool best_exact = false;
   for (const uint32_t id : identifier_scratch_) {
     int hops = 0;
     const uint32_t owner = net_->Route(origin, id, &hops);
@@ -305,38 +308,35 @@ void ScenarioEngine::RunQuery(ScenarioReport* report) {
         continue;
       }
       const Range stored(d.lo, d.hi);
-      if (stored.Overlaps(q)) {
-        const double recall =
-            static_cast<double>(stored.IntersectionSize(q)) /
-            static_cast<double>(q.size());
-        if (recall > best_recall) best_recall = recall;
-        if (d.lo == q.lo() && d.hi == q.hi()) exact = true;
+      const double score = MatchScore(q, stored, MatchCriterion::kJaccard);
+      const bool exact = stored == q;
+      if (!best || RanksAhead(score, exact, best_score, best_exact)) {
+        best_score = score;
+        best_exact = exact;
+        best = stored;
       }
       ++i;
     }
   }
 
   ++report->queries;
-  if (exact) {
-    ++report->exact_hits;
-    best_recall = 1.0;
-  } else if (best_recall > 0.0) {
-    ++report->approx_hits;
-  } else {
-    ++report->misses;
-  }
-  report->recall_sum += best_recall;
+  const MatchKind kind = CountMatch(best.has_value(), best_exact, report);
+  const double recall = best ? q.RecallFrom(*best) : 0.0;
+  report->recall_sum += recall;
 
   if (recent_recall_.size() < kRecallWindow) {
-    recent_recall_.push_back(best_recall);
+    recent_recall_.push_back(recall);
   } else {
-    recent_recall_[recent_pos_] = best_recall;
+    recent_recall_[recent_pos_] = recall;
     recent_pos_ = (recent_pos_ + 1) % kRecallWindow;
   }
 
-  // The paper's cache-on-miss rule: a non-exact answer publishes the
-  // queried range at its l identifier owners, holder = origin.
-  if (!exact) PublishRange(q, origin, report);
+  // Cache-on-miss: the queried range is published at the owners of the
+  // identifiers already hashed above, holder = origin.
+  if (PublishesOnMiss(kind)) {
+    PublishRange(q, identifier_scratch_, origin, report);
+  }
+  return recall;
 }
 
 void ScenarioEngine::Crash(uint32_t slot, ScenarioReport* report) {
@@ -393,9 +393,7 @@ Result<ScenarioReport> ScenarioEngine::Run() {
     now_ms_ = e.time_ms;
     switch (e.type) {
       case EventType::kQuery: {
-        const double before_sum = report.recall_sum;
-        RunQuery(&report);
-        const double recall = report.recall_sum - before_sum;
+        const double recall = RunQuery(&report);
         if (wave_time_ms_ >= 0.0) {
           if (now_ms_ < wave_time_ms_) {
             recall_before += recall;

@@ -2,13 +2,13 @@
 //
 // RangeCacheSystem models every peer as an object graph (stores,
 // WALs, finger tables) — faithful, but ~kilobytes per peer. The
-// scenario engine strips the §4 protocol to its struct-of-arrays
-// skeleton: peers are ranks in a sorted identifier array, descriptors
-// are 16-byte packed rows in bucket-indexed tables, and time advances
+// scenario engine runs the §4 protocol over struct-of-arrays state
+// instead: peers are ranks in a sorted identifier array, descriptors
+// are 20-byte packed rows in bucket-indexed tables, and time advances
 // through an indexed event queue of query / churn / repair events.
-// What it keeps exact: the real LSH identifier scheme, the
-// cache-on-miss publish rule, descriptor replication, lazy stale
-// eviction, and substrate-shaped routing costs (CompactOverlay).
+// What it keeps exact: the real LSH identifier scheme, the match rules
+// of store/protocol.h under Jaccard, descriptor replication, lazy
+// stale eviction, and substrate-shaped routing costs (CompactOverlay).
 // What it drops: SQL, payload bytes, per-message latency sampling.
 //
 // The engine is single-threaded BY DESIGN — determinism comes from a
@@ -92,7 +92,7 @@ struct ScenarioReport {
   uint64_t exact_hits = 0;
   uint64_t approx_hits = 0;
   uint64_t misses = 0;
-  double recall_sum = 0.0;  ///< Σ |Q ∩ best| / |Q| over all queries
+  double recall_sum = 0.0;  ///< Σ |Q ∩ winner| / |Q| over all queries
 
   uint64_t hops = 0;       ///< routing hops across all probes
   uint64_t messages = 0;   ///< hops + store/reply messages
@@ -169,11 +169,15 @@ class ScenarioEngine {
 
   void ScheduleWorkload();
   Range NextQueryRange();
-  void RunQuery(ScenarioReport* report);
+  /// Runs one query; returns its recall.
+  double RunQuery(ScenarioReport* report);
   void Crash(uint32_t slot, ScenarioReport* report);
   void Recover(uint32_t slot, ScenarioReport* report);
   bool CopyValid(const StoredDesc& d, uint32_t at_slot) const;
-  void PublishRange(const Range& r, uint32_t holder, ScenarioReport* report);
+  /// Cache-on-miss: publishes `r` (held by `holder`) under its
+  /// identifiers `ids`, already hashed by the query that missed.
+  void PublishRange(const Range& r, const std::vector<uint32_t>& ids,
+                    uint32_t holder, ScenarioReport* report);
 
   ScenarioConfig config_;
   std::unique_ptr<CompactOverlay> net_;

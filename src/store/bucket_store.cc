@@ -6,27 +6,6 @@
 
 namespace p2prange {
 
-const char* MatchCriterionName(MatchCriterion c) {
-  switch (c) {
-    case MatchCriterion::kJaccard:
-      return "jaccard";
-    case MatchCriterion::kContainment:
-      return "containment";
-  }
-  return "unknown";
-}
-
-double BucketStore::Score(const Range& query, const Range& stored,
-                          MatchCriterion criterion) {
-  switch (criterion) {
-    case MatchCriterion::kJaccard:
-      return query.Jaccard(stored);
-    case MatchCriterion::kContainment:
-      return query.ContainmentIn(stored);
-  }
-  return 0.0;
-}
-
 bool BucketStore::Insert(chord::ChordId id, const PartitionDescriptor& descriptor) {
   auto& bucket = buckets_[id];
   for (auto it : bucket) {
@@ -103,9 +82,10 @@ std::optional<MatchCandidate> BucketStore::BestMatch(chord::ChordId id,
   for (const auto& entry_it : it->second) {
     const PartitionDescriptor& d = entry_it->descriptor;
     if (!d.key.SameColumn(query)) continue;
-    const double score = Score(query.range, d.key.range, criterion);
-    if (!best || score > best->similarity) {
-      best = MatchCandidate{d, score, d.key.range == query.range};
+    const double score = MatchScore(query.range, d.key.range, criterion);
+    const bool exact = d.key.range == query.range;
+    if (!best || RanksAhead(score, exact, best->similarity, best->exact)) {
+      best = MatchCandidate{d, score, exact};
     }
   }
   return best;
@@ -118,9 +98,10 @@ std::optional<MatchCandidate> BucketStore::BestMatchAnywhere(
   // that matter in O(log n + k).
   std::optional<MatchCandidate> best;
   index_.ForEachOverlapping(query, [&](const PartitionDescriptor& d) {
-    const double score = Score(query.range, d.key.range, criterion);
-    if (!best || score > best->similarity) {
-      best = MatchCandidate{d, score, d.key.range == query.range};
+    const double score = MatchScore(query.range, d.key.range, criterion);
+    const bool exact = d.key.range == query.range;
+    if (!best || RanksAhead(score, exact, best->similarity, best->exact)) {
+      best = MatchCandidate{d, score, exact};
     }
   });
   if (!best) {
@@ -132,17 +113,16 @@ std::optional<MatchCandidate> BucketStore::BestMatchAnywhere(
   return best;
 }
 
-std::vector<MatchCandidate> BucketStore::OverlappingCandidates(
-    chord::ChordId id, const PartitionKey& query, MatchCriterion criterion) const {
-  std::vector<MatchCandidate> out;
+std::vector<PartitionDescriptor> BucketStore::OverlappingCandidates(
+    chord::ChordId id, const PartitionKey& query) const {
+  std::vector<PartitionDescriptor> out;
   auto it = buckets_.find(id);
   if (it == buckets_.end()) return out;
   for (const auto& entry_it : it->second) {
     const PartitionDescriptor& d = entry_it->descriptor;
     if (!d.key.SameColumn(query)) continue;
     if (!query.range.Overlaps(d.key.range)) continue;
-    out.push_back(MatchCandidate{d, Score(query.range, d.key.range, criterion),
-                                 d.key.range == query.range});
+    out.push_back(d);
   }
   return out;
 }

@@ -21,24 +21,9 @@
 #include "common/result.h"
 #include "store/interval_index.h"
 #include "store/partition_key.h"
+#include "store/protocol.h"
 
 namespace p2prange {
-
-/// \brief How a bucket picks its best match for a query range (§5.2).
-enum class MatchCriterion {
-  kJaccard,      ///< maximize |Q∩R| / |Q∪R| (what the hashing optimizes)
-  kContainment,  ///< maximize |Q∩R| / |Q| (what the user actually wants)
-};
-
-const char* MatchCriterionName(MatchCriterion c);
-
-/// \brief A candidate answer: a stored descriptor plus its score
-/// against the query range under the criterion used.
-struct MatchCandidate {
-  PartitionDescriptor descriptor;
-  double similarity = 0.0;  ///< score under the criterion that selected it
-  bool exact = false;       ///< stored range equals the query range
-};
 
 /// \brief Capacity-bounded descriptor store of one peer.
 class BucketStore {
@@ -65,12 +50,10 @@ class BucketStore {
   std::optional<MatchCandidate> BestMatchAnywhere(const PartitionKey& query,
                                                   MatchCriterion criterion) const;
 
-  /// \brief All same-column candidates of bucket `id` that overlap the
-  /// query range, scored under `criterion` (for multi-partition
-  /// coverage assembly).
-  std::vector<MatchCandidate> OverlappingCandidates(chord::ChordId id,
-                                                    const PartitionKey& query,
-                                                    MatchCriterion criterion) const;
+  /// \brief All same-column descriptors of bucket `id` that overlap
+  /// the query range (for multi-partition coverage assembly).
+  std::vector<PartitionDescriptor> OverlappingCandidates(
+      chord::ChordId id, const PartitionKey& query) const;
 
   /// \brief Lazy repair: removes every descriptor of `key` whose
   /// holder is `holder`, across all buckets. Called by a probing owner
@@ -115,9 +98,6 @@ class BucketStore {
     PartitionDescriptor descriptor;
   };
   using RecencyList = std::list<Entry>;
-
-  static double Score(const Range& query, const Range& stored,
-                      MatchCriterion criterion);
 
   void EvictIfNeeded();
 

@@ -309,6 +309,16 @@ TEST(LiveRingTest, PaperWorkloadRecallMatchesSimulator) {
         << daemon->metrics_json();
     EXPECT_NE(json.find("\"descriptors_stored\":"), std::string::npos);
   }
+  // kMetrics over the wire serves the same JSON, transport half included.
+  for (const NetAddress& member : ring.members) {
+    auto json = (*client)->NodeMetrics(member);
+    ASSERT_TRUE(json.ok()) << json.status().ToString();
+    const std::string key = "\"requests_served\":";
+    const size_t at = json->find(key);
+    ASSERT_NE(at, std::string::npos) << *json;
+    EXPECT_GT(std::stoull(json->substr(at + key.size())), 0u) << *json;
+    EXPECT_NE(json->find("\"membership_alive\":"), std::string::npos) << *json;
+  }
 
   for (auto& daemon : ring.daemons) EXPECT_TRUE(daemon->Terminate());
 }

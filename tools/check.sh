@@ -231,7 +231,7 @@ if echo "$chaos_json" | grep -q '"lookup_failures":[1-9]'; then
 fi
 
 # Scenario-matrix smoke: the event-driven engine over all three
-# overlay substrates (10^4-peer grid plus the 10^6-peer chord cell).
+# overlay substrates (10^4-peer grid plus a 10^5-peer chord cell).
 # The bench computes the verdict itself: nonzero_recall_overlays
 # counts substrates with cache hits under churn and must be 3.
 echo "=== scenario-matrix smoke (chord/can/tapestry engine grid) ==="

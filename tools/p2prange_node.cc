@@ -58,6 +58,7 @@
 
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,9 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStop(int) { g_stop = 1; }
+
+/// How often the --metrics_json file is rewritten, at most.
+constexpr std::chrono::milliseconds kMetricsPeriod{1000};
 
 struct Flags {
   std::string listen;
@@ -247,6 +251,11 @@ int main(int argc, char** argv) {
   // Requests cannot arrive before the poll loop below starts, so the
   // handler's service pointer is always set by the time it runs.
   rpc::NodeService* service_ptr = nullptr;
+  // kMetrics is answered with the daemon's full metrics JSON, the same
+  // one the --metrics_json file carries (set once every part of the
+  // node exists, below). It is not batchable, so it always runs here
+  // on the poll thread, which owns membership and re-replication.
+  std::function<std::string()> metrics_snapshot;
   rpc::TcpServer::Options server_options;
   server_options.max_out_buffer = flags.write_buffer_cap;
   server_options.read_idle_timeout_ms = flags.idle_timeout_ms;
@@ -254,7 +263,11 @@ int main(int argc, char** argv) {
   server_options.max_connections = flags.max_conns;
   auto server = rpc::TcpServer::Listen(
       *listen_addr,
-      [&service_ptr](rpc::MsgType type, std::string_view body) {
+      [&service_ptr, &metrics_snapshot](
+          rpc::MsgType type, std::string_view body) -> Result<std::string> {
+        if (type == rpc::MsgType::kMetrics && metrics_snapshot) {
+          return metrics_snapshot();
+        }
         return service_ptr->Handle(type, body);
       },
       server_options);
@@ -429,6 +442,33 @@ int main(int argc, char** argv) {
     }
   }
 
+  metrics_snapshot = [&]() {
+    // The server observes no per-message latency model; its
+    // NetworkStats half carries the byte totals.
+    NetworkStats net;
+    net.messages = server->stats().requests_served;
+    net.bytes = server->stats().bytes_in + server->stats().bytes_out;
+    std::string extra = ",\"membership\":" + membership->counters().ToJson() +
+                        // Live gauge, not a counter: how many ring
+                        // members (self included) this node can see
+                        // right now. The partition acceptance tests
+                        // poll it to observe a split becoming total.
+                        ",\"membership_alive\":" +
+                        std::to_string(membership->num_alive()) +
+                        ",\"rereplication\":" +
+                        rereplicator->counters().ToJson();
+    if (executor != nullptr) {
+      const rpc::ExecutorStats exec = executor->snapshot();
+      extra += ",\"executor\":{\"workers\":" + std::to_string(flags.workers) +
+               ",\"queue_depth\":" + std::to_string(flags.queue_depth) +
+               ",\"submitted\":" + std::to_string(exec.submitted) +
+               ",\"shed\":" + std::to_string(exec.shed) +
+               ",\"completed\":" + std::to_string(exec.completed) +
+               ",\"max_queue\":" + std::to_string(exec.max_queue) + "}";
+    }
+    return (*service)->MetricsJson(net, server->stats(), extra);
+  };
+
   auto write_metrics = [&]() {
     if (flags.metrics_json.empty()) return;
     // Write-then-rename: a scraper reading mid-update must never see a
@@ -436,40 +476,17 @@ int main(int argc, char** argv) {
     const std::string tmp = flags.metrics_json + ".tmp";
     {
       std::ofstream out(tmp, std::ios::trunc);
-      // The server observes no per-message latency model; its
-      // NetworkStats half carries the byte totals.
-      NetworkStats net;
-      net.messages = server->stats().requests_served;
-      net.bytes = server->stats().bytes_in + server->stats().bytes_out;
-      std::string extra = ",\"membership\":" +
-                          membership->counters().ToJson() +
-                          // Live gauge, not a counter: how many ring
-                          // members (self included) this node can see
-                          // right now. The partition acceptance tests
-                          // poll it to observe a split becoming total.
-                          ",\"membership_alive\":" +
-                          std::to_string(membership->num_alive()) +
-                          ",\"rereplication\":" +
-                          rereplicator->counters().ToJson();
-      if (executor != nullptr) {
-        const rpc::ExecutorStats exec = executor->snapshot();
-        extra += ",\"executor\":{\"workers\":" + std::to_string(flags.workers) +
-                 ",\"queue_depth\":" + std::to_string(flags.queue_depth) +
-                 ",\"submitted\":" + std::to_string(exec.submitted) +
-                 ",\"shed\":" + std::to_string(exec.shed) +
-                 ",\"completed\":" + std::to_string(exec.completed) +
-                 ",\"max_queue\":" + std::to_string(exec.max_queue) + "}";
-      }
-      out << (*service)->MetricsJson(net, server->stats(), extra) << "\n";
+      out << metrics_snapshot() << "\n";
     }
     std::rename(tmp.c_str(), flags.metrics_json.c_str());
   };
 
   // Event loop: short poll timeout so the membership/re-replication
-  // ticks and a stop signal are honored fast; metrics rewritten
-  // periodically so scrapers always see fresh gauges.
+  // ticks and a stop signal are honored fast; metrics rewritten on a
+  // wall-clock period so scrapers see fresh gauges without a busy node
+  // paying for a file rewrite every few requests.
   write_metrics();  // the file exists from the moment we are reachable
-  int iterations_since_metrics = 0;
+  auto metrics_written = std::chrono::steady_clock::now();
   while (g_stop == 0) {
     const Status st = server->PollOnce(/*timeout_ms=*/20);
     if (!st.ok()) {
@@ -488,9 +505,10 @@ int main(int argc, char** argv) {
     membership->Tick();
     rereplicator->Tick();
     if (executor != nullptr) (*service)->PublishRedirectRing();
-    if (++iterations_since_metrics >= 50) {
+    const auto now = std::chrono::steady_clock::now();
+    if (now - metrics_written >= kMetricsPeriod) {
       write_metrics();
-      iterations_since_metrics = 0;
+      metrics_written = now;
     }
   }
 
